@@ -30,13 +30,6 @@ pub struct Args {
     /// engine, for the CI coalesce-differential (trace-diff) gate.
     /// Physics and observer streams are byte-identical either way.
     pub no_coalesce: bool,
-    /// Within-cell partition count (`SimConfig::shards`); 1 = serial
-    /// engine. Outputs are byte-identical at every value (the CI
-    /// shard-differential gate diffs the traces).
-    pub shards: u32,
-    /// Worker threads for the sharded engine's window-prepare pass
-    /// (`SimConfig::shard_threads`); never affects outputs.
-    pub shard_threads: usize,
     /// Record windowed telemetry (`SimConfig::telemetry`, 1 ms windows)
     /// and write the deterministic `silo-telemetry-v1` JSONL to this
     /// path. Physics are unchanged (the simnet telemetry suite asserts
@@ -61,65 +54,59 @@ impl Default for Args {
             trace: None,
             trace_perfetto: None,
             no_coalesce: false,
-            shards: 1,
-            shard_threads: 1,
             telemetry: None,
             telemetry_openmetrics: None,
         }
     }
 }
 
+/// Every flag [`Args::parse_from`] accepts, for error messages.
+const KNOWN_FLAGS: &str = "--scale --seed --duration-ms --runs --occupancy --threads --profile --audit --no-coalesce --trace --trace-perfetto --telemetry --telemetry-openmetrics";
+
+/// Parse `val` as the value of `key`, naming both on failure.
+fn num<T: std::str::FromStr>(key: &str, val: &str) -> Result<T, String> {
+    val.parse()
+        .map_err(|_| format!("{key} takes a number, got {val:?}"))
+}
+
 impl Args {
-    /// Parse `--key value` pairs from `std::env::args`; unknown keys
-    /// panic with a usage hint.
+    /// Parse `--key value` pairs from `std::env::args`. On a bad command
+    /// line, print the error and the known flags to stderr and exit with
+    /// status 2.
     pub fn parse() -> Args {
-        let mut a = Args::default();
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = argv[i].as_str();
-            if key == "--profile" {
-                a.profile = true;
-                i += 1;
-                continue;
-            }
-            if key == "--audit" {
-                a.audit = true;
-                i += 1;
-                continue;
-            }
-            if key == "--no-coalesce" {
-                a.no_coalesce = true;
-                i += 1;
-                continue;
-            }
-            let val = argv.get(i + 1).unwrap_or_else(|| {
-                panic!("missing value for {key}");
-            });
+        Args::parse_from(&argv).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nknown flags: {KNOWN_FLAGS}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parse `--key value` pairs (and the bare `--profile`, `--audit`,
+    /// `--no-coalesce` switches) from `argv`, program name excluded.
+    pub fn parse_from(argv: &[String]) -> Result<Args, String> {
+        let mut a = Args::default();
+        let mut it = argv.iter();
+        while let Some(key) = it.next() {
+            let key = key.as_str();
+            let mut val = || it.next().ok_or_else(|| format!("missing value for {key}"));
             match key {
-                "--scale" => a.scale = val.parse().expect("--scale takes a float"),
-                "--seed" => a.seed = val.parse().expect("--seed takes an integer"),
-                "--duration-ms" => {
-                    a.duration_ms = val.parse().expect("--duration-ms takes an integer")
-                }
-                "--runs" => a.runs = val.parse().expect("--runs takes an integer"),
-                "--occupancy" => a.occupancy = val.parse().expect("--occupancy takes a float"),
-                "--threads" => a.threads = val.parse().expect("--threads takes an integer"),
-                "--trace" => a.trace = Some(val.clone()),
-                "--trace-perfetto" => a.trace_perfetto = Some(val.clone()),
-                "--shards" => a.shards = val.parse().expect("--shards takes an integer"),
-                "--shard-threads" => {
-                    a.shard_threads = val.parse().expect("--shard-threads takes an integer")
-                }
-                "--telemetry" => a.telemetry = Some(val.clone()),
-                "--telemetry-openmetrics" => a.telemetry_openmetrics = Some(val.clone()),
-                other => panic!(
-                    "unknown flag {other}; known: --scale --seed --duration-ms --runs --occupancy --threads --profile --audit --no-coalesce --trace --trace-perfetto --shards --shard-threads --telemetry --telemetry-openmetrics"
-                ),
+                "--profile" => a.profile = true,
+                "--audit" => a.audit = true,
+                "--no-coalesce" => a.no_coalesce = true,
+                "--scale" => a.scale = num(key, val()?)?,
+                "--seed" => a.seed = num(key, val()?)?,
+                "--duration-ms" => a.duration_ms = num(key, val()?)?,
+                "--runs" => a.runs = num(key, val()?)?,
+                "--occupancy" => a.occupancy = num(key, val()?)?,
+                "--threads" => a.threads = num(key, val()?)?,
+                "--trace" => a.trace = Some(val()?.clone()),
+                "--trace-perfetto" => a.trace_perfetto = Some(val()?.clone()),
+                "--telemetry" => a.telemetry = Some(val()?.clone()),
+                "--telemetry-openmetrics" => a.telemetry_openmetrics = Some(val()?.clone()),
+                other => return Err(format!("unknown flag {other}")),
             }
-            i += 2;
         }
-        a
+        Ok(a)
     }
 
     /// Flight-recorder tracing requested by any flag?
@@ -140,5 +127,73 @@ impl Args {
         } else {
             self.threads.min(cells.max(1))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Args::parse_from(&argv)
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        assert_eq!(parse("--bogus 1").unwrap_err(), "unknown flag --bogus");
+        // The retired within-cell sharding flags are unknown now.
+        for name in ["shards", "shard-threads"] {
+            assert_eq!(
+                parse(&format!("--runs 1 --{name} 4")).unwrap_err(),
+                format!("unknown flag --{name}")
+            );
+        }
+    }
+
+    #[test]
+    fn missing_value_is_an_error() {
+        assert_eq!(
+            parse("--runs 2 --seed").unwrap_err(),
+            "missing value for --seed"
+        );
+        assert_eq!(
+            parse("--telemetry").unwrap_err(),
+            "missing value for --telemetry"
+        );
+    }
+
+    #[test]
+    fn non_numeric_value_is_an_error() {
+        assert_eq!(
+            parse("--runs two").unwrap_err(),
+            "--runs takes a number, got \"two\""
+        );
+        assert!(parse("--scale 0.1x").is_err());
+        assert!(parse("--threads -1").is_err());
+    }
+
+    #[test]
+    fn valid_multi_flag_line_parses() {
+        let a = parse(
+            "--scale 0.12 --seed 7 --duration-ms 20 --runs 2 --occupancy 0.75 --threads 4 \
+             --profile --audit --no-coalesce --trace t.jsonl --trace-perfetto t.json \
+             --telemetry m.jsonl --telemetry-openmetrics m.om",
+        )
+        .expect("valid command line");
+        assert_eq!(a.scale, 0.12);
+        assert_eq!(a.seed, 7);
+        assert_eq!(a.duration_ms, 20);
+        assert_eq!(a.runs, 2);
+        assert_eq!(a.occupancy, 0.75);
+        assert_eq!(a.threads, 4);
+        assert!(a.profile && a.audit && a.no_coalesce);
+        assert_eq!(a.trace.as_deref(), Some("t.jsonl"));
+        assert_eq!(a.trace_perfetto.as_deref(), Some("t.json"));
+        assert_eq!(a.telemetry.as_deref(), Some("m.jsonl"));
+        assert_eq!(a.telemetry_openmetrics.as_deref(), Some("m.om"));
+        // No flags at all: the defaults.
+        let d = parse("").expect("empty line");
+        assert_eq!((d.runs, d.seed, d.profile), (3, 1, false));
     }
 }
