@@ -1,13 +1,14 @@
 //! The discrete-event priority queue used by the packet simulator and the
-//! pacer's NIC batcher: a hierarchical timer wheel with a binary-heap
-//! reference backend.
+//! pacer's NIC batcher: a hierarchical timer wheel, with a binary heap kept
+//! as a test-only reference ([`EventQueue::reference_heap`]).
 //!
 //! # Ordering contract
 //!
 //! `pop` returns entries in exactly `(time, insertion order)` order — the
 //! same total order a `BinaryHeap` min-heap over `(t, seq)` produces. The
-//! golden-schedule and determinism suites assert the two backends are
-//! bit-for-bit interchangeable, so the wheel is a pure performance choice.
+//! differential tests below run the same op streams through the wheel and
+//! the reference heap and demand identical pops, so the wheel is a pure
+//! performance choice.
 //!
 //! # Why a wheel
 //!
@@ -354,26 +355,6 @@ impl<E> Wheel<E> {
     }
 }
 
-/// Which engine backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Hierarchical timer wheel (the default).
-    #[default]
-    Wheel,
-    /// `BinaryHeap` reference implementation, kept for differential tests
-    /// and before/after benchmarking.
-    Heap,
-}
-
-impl QueueBackend {
-    pub fn label(self) -> &'static str {
-        match self {
-            QueueBackend::Wheel => "wheel",
-            QueueBackend::Heap => "heap",
-        }
-    }
-}
-
 enum Inner<E> {
     Wheel(Wheel<E>),
     Heap(BinaryHeap<HeapEntry<E>>),
@@ -497,19 +478,16 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Timer-wheel backed queue (the production configuration).
     pub fn new() -> EventQueue<E> {
-        EventQueue::with_backend(QueueBackend::Wheel)
+        EventQueue::with_inner(Inner::Wheel(Wheel::new()))
     }
 
-    /// Reference `BinaryHeap` backed queue (differential tests, benchmarks).
+    /// Reference `BinaryHeap` backed queue: the ordering oracle the
+    /// differential tests and the microbench compare the wheel against.
     pub fn reference_heap() -> EventQueue<E> {
-        EventQueue::with_backend(QueueBackend::Heap)
+        EventQueue::with_inner(Inner::Heap(BinaryHeap::new()))
     }
 
-    pub fn with_backend(backend: QueueBackend) -> EventQueue<E> {
-        let inner = match backend {
-            QueueBackend::Wheel => Inner::Wheel(Wheel::new()),
-            QueueBackend::Heap => Inner::Heap(BinaryHeap::new()),
-        };
+    fn with_inner(inner: Inner<E>) -> EventQueue<E> {
         EventQueue {
             inner,
             seq: 0,
@@ -601,6 +579,15 @@ impl<E> EventQueue<E> {
             _ => self.slab.cancel_lazy(idx),
         }
         true
+    }
+
+    /// Is the keyed entry still queued (neither popped nor cancelled)?
+    pub fn is_pending(&self, key: EvKey) -> bool {
+        let (idx, gen) = key.unpack();
+        self.slab
+            .slots
+            .get(idx as usize)
+            .is_some_and(|s| s.gen == gen && s.alive)
     }
 
     fn pop_raw(&mut self) -> Option<Entry<E>> {
@@ -749,6 +736,9 @@ mod tests {
                     now = t.as_ps();
                 }
             }
+            // The NIC batcher polls `peek_time` between pops ("is the
+            // head due yet?"); a poll must agree and leave pops unchanged.
+            assert_eq!(wheel.peek_time(), heap.peek_time());
         }
         while let Some(b) = heap.pop() {
             assert_eq!(wheel.pop(), Some(b));
@@ -794,11 +784,14 @@ mod tests {
         let k2 = q.push_cancelable(Time(20), "b");
         q.push(Time(30), "c");
         assert_eq!(q.len(), 3);
+        assert!(q.is_pending(k1) && q.is_pending(k2));
         assert!(q.cancel(k1), "first cancel hits a live entry");
+        assert!(!q.is_pending(k1));
         assert!(!q.cancel(k1), "double cancel is stale");
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(Time(20)), "cancelled head skipped");
         assert_eq!(q.pop(), Some((Time(20), "b")));
+        assert!(!q.is_pending(k2), "a popped entry is no longer pending");
         assert!(!q.cancel(k2), "cancel after pop is stale");
         assert_eq!(q.pop(), Some((Time(30), "c")));
         assert_eq!(q.pop(), None);
@@ -873,8 +866,10 @@ mod tests {
     /// dead prefix rather than report a cancelled entry's stamp.
     #[test]
     fn cancelling_drained_ready_run_advances_peek_time() {
-        for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-            let mut q = EventQueue::with_backend(backend);
+        for (backend, mut q) in [
+            ("wheel", EventQueue::new()),
+            ("heap", EventQueue::reference_heap()),
+        ] {
             q.push(Time(40), 0u64);
             let b = q.push_cancelable(Time(40), 1);
             let c = q.push_cancelable(Time(40), 2);
@@ -888,7 +883,7 @@ mod tests {
             assert_eq!(
                 q.peek_time(),
                 Some(Time(200)),
-                "{backend:?}: dead ready/heap prefix must not mask the live minimum"
+                "{backend}: dead ready/heap prefix must not mask the live minimum"
             );
             assert_eq!(q.pop(), Some((Time(200), 3)));
             assert_eq!(q.peek_time(), None);
@@ -943,12 +938,17 @@ mod tests {
     /// are created late, out of stamp order.
     #[test]
     fn external_seq_interleave_matches_serial_order() {
-        for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
+        for (backend, mut serial, mut ext) in [
+            ("wheel", EventQueue::new(), EventQueue::new()),
+            (
+                "heap",
+                EventQueue::reference_heap(),
+                EventQueue::reference_heap(),
+            ),
+        ] {
             let mut rng = seeded_rng(31337);
             // Model: a stream of (t, seq) stamps, a random quarter of which
             // is created late, after newer pushes already landed.
-            let mut serial = EventQueue::with_backend(backend);
-            let mut ext = EventQueue::with_backend(backend);
             let mut stamps: Vec<(u64, u64)> = Vec::new();
             let mut t = 0u64;
             for seq in 0..4_000u64 {
@@ -973,7 +973,7 @@ mod tests {
             }
             loop {
                 let a = serial.pop();
-                assert_eq!(a, ext.pop(), "{backend:?}");
+                assert_eq!(a, ext.pop(), "{backend}");
                 if a.is_none() {
                     break;
                 }

@@ -28,7 +28,7 @@ pub mod stats;
 pub mod units;
 
 pub use dist::{exponential, gen_pareto, seeded_rng, GenPareto};
-pub use eventq::{EvKey, EventQueue, QueueBackend};
+pub use eventq::{EvKey, EventQueue};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use json::Json;
 pub use stats::{Cdf, Histogram, LogHistogram, OnlineStats, Summary};

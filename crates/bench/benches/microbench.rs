@@ -339,13 +339,13 @@ fn main() {
     let ratio = wheel_ns / heap_ns;
     println!("eventq wheel/heap ratio: {ratio:.2} (gate: < 2.0)");
     // 2. Cancellation must beat the tombstone scheme by >= 1.3x on the
-    //    RTO re-arm pattern — the win the simulator's cancel_timers
-    //    default is predicated on.
+    //    RTO re-arm pattern — the win the simulator's cancelable RTO and
+    //    NIC-pull timers are predicated on.
     let cancel_gain = tomb_ns / canc_ns;
     println!("eventq tombstone/cancel re-arm gain: {cancel_gain:.2}x (gate: >= 1.3)");
     // 3. Coalesced void emission must beat per-chunk emission by >= 2x on
     //    a void-dominated Silo drain (emission + consumer walk) — the win
-    //    the simnet `coalesce_voids` default is predicated on.
+    //    the simulator's coalescing NIC batchers are predicated on.
     let void_gain = plain_ns / co_ns;
     println!("pacer per-chunk/coalesced void-drain gain: {void_gain:.2}x (gate: >= 2.0)");
     if h.enforce {

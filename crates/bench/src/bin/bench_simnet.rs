@@ -1,37 +1,30 @@
-//! Simnet engine microbenchmark: event-loop throughput across the queue
-//! backends (timer wheel vs reference `BinaryHeap`), the timer-cancellation
-//! engine win over the tombstone scheme, and sweep-level parallel speedup —
+//! Simnet engine benchmark: event-loop throughput of the default engine,
+//! sweep-level parallel speedup and the wall-clock cost of each observer —
 //! written to `BENCH_simnet.json` in the current directory.
 //!
-//! Eight phases run the **same** `(mode × seed)` cell grid:
+//! Up to five phases run the **same** `(mode × seed)` cell grid:
 //!
-//! 1. `heap/t1`           — reference heap backend, one thread;
-//! 2. `wheel_nocancel/t1` — timer wheel, tombstone timers (the
-//!    pre-cancellation engine baseline);
-//! 3. `coalesce_off/t1`   — default engine with the hot-path event diet
-//!    off (per-chunk void frames, eager NIC pulls: the pre-diet engine);
-//! 4. `wheel/t1`          — timer wheel + cancelable timers + event diet
-//!    (the default engine), one thread;
-//! 5. `wheel/tN`          — default engine, one worker per core;
-//! 6. `audit/t1`          — default engine with the invariant-audit layer
-//!    on (its wall-clock overhead and counters go into the report);
-//! 7. `trace/t1`          — default engine with the flight recorder on
-//!    (its wall-clock overhead and event counts go into the report);
-//! 8. `telemetry/t1`      — default engine with the windowed telemetry
-//!    recorder on (1 ms windows; its wall-clock overhead goes into the
-//!    report and is asserted under 15%).
+//! 1. `wheel/t1`     — the default engine, one thread;
+//! 2. `wheel/tN`     — the default engine, one worker per core (skipped
+//!    when N is 1: it would repeat `wheel/t1`);
+//! 3. `audit/t1`     — the invariant-audit layer on (its wall-clock
+//!    overhead and counters go into the report);
+//! 4. `trace/t1`     — the flight recorder on (its wall-clock overhead and
+//!    event counts go into the report);
+//! 5. `telemetry/t1` — the windowed telemetry recorder on (1 ms windows;
+//!    its wall-clock overhead goes into the report and is asserted under
+//!    15%).
 //!
-//! Physical results are asserted byte-identical across all eight phases
-//! (this binary doubles as an end-to-end equivalence check); engine
-//! counters are additionally identical wherever the engine config matches.
+//! Canonical results (physics and engine counters) are asserted
+//! byte-identical across all phases: thread count and observers must not
+//! move a byte.
 //!
 //! `--profile` instead runs one Silo cell (audit on) and prints the
-//! per-event-kind scheduled/fired/stale/cancelled table, per-tenant
-//! streaming latency histograms, and the audit summary, failing if the
-//! cancellation layer did no work or the audit flags a healthy run — the
-//! CI smoke test that both stay live.
+//! per-event-kind scheduled/fired/cancelled table, per-tenant streaming
+//! latency histograms, and the audit summary, failing if the cancellation
+//! layer did no work or the audit flags a healthy run — the CI smoke test
+//! that both stay live.
 
-use silo_base::QueueBackend;
 use silo_bench::ns2::{ns2_cells, run_ns2_cell_with_engine, EngineOpts, Ns2Cell};
 use silo_bench::{auto_threads, run_cells_timed, Args, BenchCell, BenchReport};
 use silo_simnet::TransportMode;
@@ -41,9 +34,6 @@ struct Phase {
     report: BenchReport,
     /// Full canonical fingerprints (physics + engine counters).
     canonical: Vec<String>,
-    /// Physics-only fingerprints (what every engine config must agree on).
-    physics: Vec<String>,
-    peak_sum: u64,
     /// Summed invariant-audit counters (zeros unless the phase audits).
     audit_events: u64,
     audit_violations: u64,
@@ -66,8 +56,6 @@ fn run_phase(tag: &str, cells: &[Ns2Cell], args: &Args, eng: EngineOpts, threads
     let total_wall_s = t0.elapsed().as_secs_f64();
     let mut bench_cells = Vec::with_capacity(cells.len());
     let mut canonical = Vec::with_capacity(cells.len());
-    let mut physics = Vec::with_capacity(cells.len());
-    let mut peak_sum = 0u64;
     let (mut audit_events, mut audit_violations, mut audit_unattributed) = (0u64, 0u64, 0u64);
     let (mut trace_events, mut trace_dropped) = (0u64, 0u64);
     let mut telemetry_windows = 0u64;
@@ -80,8 +68,6 @@ fn run_phase(tag: &str, cells: &[Ns2Cell], args: &Args, eng: EngineOpts, threads
             peak_event_queue: m.peak_event_queue,
         });
         canonical.push(m.canonical_json());
-        physics.push(m.physics_json());
-        peak_sum += m.peak_event_queue;
         if let Some(a) = &m.audit {
             audit_events += a.events_checked;
             audit_violations += a.total();
@@ -124,8 +110,6 @@ fn run_phase(tag: &str, cells: &[Ns2Cell], args: &Args, eng: EngineOpts, threads
             cells: bench_cells,
         },
         canonical,
-        physics,
-        peak_sum,
         audit_events,
         audit_violations,
         audit_unattributed,
@@ -138,8 +122,7 @@ fn run_phase(tag: &str, cells: &[Ns2Cell], args: &Args, eng: EngineOpts, threads
 
 /// `--profile`: one Silo cell on the default engine, profile table to
 /// stdout. Exits nonzero when no timer was ever cancelled — that would
-/// mean the elision layer is configured out and the engine is silently
-/// back to dispatching tombstones.
+/// mean superseded timers are no longer removed from the queue.
 fn profile_smoke(args: &Args) -> ! {
     let cell = Ns2Cell {
         mode: TransportMode::Silo,
@@ -200,16 +183,11 @@ fn profile_smoke(args: &Args) -> ! {
         std::process::exit(1);
     }
     let cancelled = m.profile.total_cancelled();
-    let stale = m.profile.total_stale();
     if cancelled == 0 {
         eprintln!("FAIL: no timers were cancelled — the cancellation layer is dead");
         std::process::exit(1);
     }
-    if stale > 0 {
-        eprintln!("FAIL: {stale} stale dispatches under cancel_timers — tombstones leaked");
-        std::process::exit(1);
-    }
-    println!("profile smoke OK: {cancelled} cancelled, 0 stale");
+    println!("profile smoke OK: {cancelled} cancelled");
     std::process::exit(0);
 }
 
@@ -237,18 +215,6 @@ fn main() {
     );
 
     let wheel = EngineOpts::default();
-    let heap = EngineOpts {
-        queue: QueueBackend::Heap,
-        ..wheel
-    };
-    let nocancel = EngineOpts {
-        cancel_timers: false,
-        ..wheel
-    };
-    let nodiet = EngineOpts {
-        coalesce: false,
-        ..wheel
-    };
     let audit_eng = EngineOpts {
         audit: true,
         ..wheel
@@ -261,52 +227,28 @@ fn main() {
         telemetry: true,
         ..wheel
     };
-    let heap1 = run_phase("heap/t1", &cells, &args, heap, 1);
-    let base1 = run_phase("wheel_nocancel/t1", &cells, &args, nocancel, 1);
-    let nodiet1 = run_phase("coalesce_off/t1", &cells, &args, nodiet, 1);
     let wheel1 = run_phase("wheel/t1", &cells, &args, wheel, 1);
-    let wheeln = run_phase(
-        &format!("wheel/t{par_threads}"),
-        &cells,
-        &args,
-        wheel,
-        par_threads,
-    );
+    let wheeln = (par_threads > 1).then(|| {
+        run_phase(
+            &format!("wheel/t{par_threads}"),
+            &cells,
+            &args,
+            wheel,
+            par_threads,
+        )
+    });
     let audit1 = run_phase("audit/t1", &cells, &args, audit_eng, 1);
     let trace1 = run_phase("trace/t1", &cells, &args, trace_eng, 1);
     let telemetry1 = run_phase("telemetry/t1", &cells, &args, telemetry_eng, 1);
 
-    // Physics must not move under any engine config; full canonical
-    // results (engine counters included) must not move across backends or
-    // thread counts when the engine config is the same.
-    assert_eq!(
-        wheel1.physics, base1.physics,
-        "timer cancellation changed physical results"
-    );
-    assert_eq!(
-        heap1.physics, wheel1.physics,
-        "queue backend changed physical results"
-    );
-    // The event diet (coalesced voids + elided pulls) is an engine-only
-    // change: same physics, strictly fewer dispatched events.
-    assert_eq!(
-        nodiet1.physics, wheel1.physics,
-        "the void-coalesce/fast-forward diet changed physical results"
-    );
-    assert!(
-        wheel1.report.total_events() < nodiet1.report.total_events(),
-        "the event diet must shed dispatches ({} vs {})",
-        wheel1.report.total_events(),
-        nodiet1.report.total_events()
-    );
-    assert_eq!(
-        heap1.canonical, wheel1.canonical,
-        "heap and wheel backends diverged on engine counters"
-    );
-    assert_eq!(
-        wheel1.canonical, wheeln.canonical,
-        "thread count changed results"
-    );
+    // Canonical results (engine counters included) must not move across
+    // thread counts or with any observer attached.
+    if let Some(wheeln) = &wheeln {
+        assert_eq!(
+            wheel1.canonical, wheeln.canonical,
+            "thread count changed results"
+        );
+    }
     // The invariant-audit layer is pure observation: same physics, same
     // engine counters, and zero unattributed violations on healthy cells.
     assert_eq!(
@@ -338,23 +280,9 @@ fn main() {
         "every cell must record one window per simulated millisecond"
     );
 
-    let eps = |p: &Phase| p.report.total_events() as f64 / p.report.cell_wall_s();
-    let engine_gain = eps(&wheel1) / eps(&heap1);
-    // The diet changes the event population, so its win is measured in
-    // *pre-diet event units*: the same simulated workload used to take
-    // `nodiet` events — the dieted engine retires it in less wall time,
-    // so (pre-diet events)/(dieted wall) over (pre-diet events)/(pre-diet
-    // wall) is the events/sec gain, which reduces to the wall ratio. The
-    // event cut itself is reported alongside.
-    let void_event_cut = nodiet1.report.total_events() as f64 / wheel1.report.total_events() as f64;
-    let void_eps_gain = nodiet1.report.cell_wall_s() / wheel1.report.cell_wall_s();
-    let silo_void_eps_gain = nodiet1.report.cells[0].wall_s / wheel1.report.cells[0].wall_s;
-    // Cancellation changes the event population, so its win is wall-clock
-    // per cell against the tombstone engine, not events/sec.
-    let cancel_speedup = base1.report.cell_wall_s() / wheel1.report.cell_wall_s();
-    let silo_cancel_speedup = base1.report.cells[0].wall_s / wheel1.report.cells[0].wall_s;
-    let peak_reduction = 1.0 - wheel1.peak_sum as f64 / base1.peak_sum.max(1) as f64;
-    let parallel_speedup = wheel1.report.total_wall_s / wheeln.report.total_wall_s;
+    let parallel_speedup = wheeln
+        .as_ref()
+        .map(|p| wheel1.report.total_wall_s / p.report.total_wall_s);
     let audit_overhead = audit1.report.cell_wall_s() / wheel1.report.cell_wall_s();
     let trace_overhead = trace1.report.cell_wall_s() / wheel1.report.cell_wall_s();
     let telemetry_overhead = telemetry1.report.cell_wall_s() / wheel1.report.cell_wall_s();
@@ -363,29 +291,17 @@ fn main() {
         "telemetry at 1 ms windows must stay under 15% wall overhead ({telemetry_overhead:.3}x)"
     );
 
+    let parallel = match parallel_speedup {
+        Some(x) => format!("{par_threads}-thread sweep speedup {x:.2}x over 1 thread"),
+        None => "no parallel phase (one worker)".to_string(),
+    };
     let notes = format!(
-        "timer cancellation {:.2}x wall-clock over tombstones ({:.2}x on {}; \
-         peak event-queue occupancy -{:.0}%); event diet (coalesced voids + \
-         elided pulls) {:.2}x events/sec in pre-diet units ({:.2}x on the Silo \
-         cell; {:.2}x fewer dispatches); wheel-vs-heap events/sec gain {:.2}x; \
-         {}-thread sweep speedup {:.2}x over 1 thread on a {}-core host; \
-         invariant audit {:.2}x wall-clock, {} events checked, {} violations \
-         ({} unattributed); flight recorder {:.2}x wall-clock, {} events retained \
-         ({} evicted from rings); windowed telemetry {:.2}x wall-clock at 1 ms \
-         windows ({} windows recorded); physics byte-identical across engines, \
-         backends, thread counts, diet on/off, audit on/off, \
-         trace on/off and telemetry on/off",
-        cancel_speedup,
-        silo_cancel_speedup,
-        wheel1.report.cells[0].label,
-        peak_reduction * 100.0,
-        void_eps_gain,
-        silo_void_eps_gain,
-        void_event_cut,
-        engine_gain,
-        par_threads,
-        parallel_speedup,
-        cores,
+        "{parallel} on a {cores}-core host; invariant audit {:.2}x wall-clock, \
+         {} events checked, {} violations ({} unattributed); flight recorder \
+         {:.2}x wall-clock, {} events retained ({} evicted from rings); \
+         windowed telemetry {:.2}x wall-clock at 1 ms windows ({} windows \
+         recorded); canonical results byte-identical across thread counts, \
+         audit on/off, trace on/off and telemetry on/off",
         audit_overhead,
         audit1.audit_events,
         audit1.audit_violations,
@@ -411,32 +327,9 @@ fn main() {
         args.scale,
         cells.len()
     ));
-    out.push_str(&format!(
-        "  \"cancel_vs_tombstone_speedup\": {cancel_speedup:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"cancel_vs_tombstone_speedup_silo_seed{}\": {silo_cancel_speedup:.3},\n",
-        args.seed
-    ));
-    out.push_str(&format!(
-        "  \"peak_event_queue_reduction\": {peak_reduction:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"void_coalesce_events_per_sec_gain\": {void_eps_gain:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"void_coalesce_events_per_sec_gain_silo_seed{}\": {silo_void_eps_gain:.3},\n",
-        args.seed
-    ));
-    out.push_str(&format!(
-        "  \"void_coalesce_event_reduction\": {void_event_cut:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"wheel_vs_heap_events_per_sec_gain\": {engine_gain:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"parallel_speedup_t{par_threads}\": {parallel_speedup:.3},\n"
-    ));
+    if let Some(x) = parallel_speedup {
+        out.push_str(&format!("  \"parallel_speedup_t{par_threads}\": {x:.3},\n"));
+    }
     out.push_str(&format!(
         "  \"audit_wall_overhead\": {audit_overhead:.3},\n"
     ));
@@ -474,16 +367,9 @@ fn main() {
     }
     out.push_str("  ],\n");
     out.push_str("  \"phases\": [\n");
-    let phases = [
-        &heap1,
-        &base1,
-        &nodiet1,
-        &wheel1,
-        &wheeln,
-        &audit1,
-        &trace1,
-        &telemetry1,
-    ];
+    let mut phases = vec![&wheel1];
+    phases.extend(wheeln.as_ref());
+    phases.extend([&audit1, &trace1, &telemetry1]);
     for (i, p) in phases.iter().enumerate() {
         for line in p.report.to_json().trim_end().lines() {
             out.push_str("    ");

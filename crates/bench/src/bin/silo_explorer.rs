@@ -37,6 +37,15 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Parse `val` as the number `key` takes. On failure print the error and
+/// the usage to stderr and exit with status 2.
+fn num<T: std::str::FromStr>(key: &str, val: &str) -> T {
+    val.parse().unwrap_or_else(|_| {
+        eprintln!("error: {key} takes a number, got {val:?}");
+        usage()
+    })
+}
+
 fn load_plan(path: &str) -> FaultPlan {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("silo-explorer: cannot read {path}: {e}");
@@ -87,11 +96,9 @@ fn parse_opts(argv: &[String]) -> Opts {
         }
         let Some(val) = argv.get(i + 1) else { usage() };
         match argv[i].as_str() {
-            "--budget" => o.cfg.budget = val.parse().expect("--budget takes an integer"),
-            "--seed" => o.cfg.seed = val.parse().expect("--seed takes an integer"),
-            "--duration-ms" => {
-                o.cfg.dur = Dur::from_ms(val.parse().expect("--duration-ms takes an integer"))
-            }
+            key @ "--budget" => o.cfg.budget = num(key, val),
+            key @ "--seed" => o.cfg.seed = num(key, val),
+            key @ "--duration-ms" => o.cfg.dur = Dur::from_ms(num(key, val)),
             "--corpus-out" => o.corpus_out = Some(val.clone()),
             "--canonical-out" => o.canonical_out = Some(val.clone()),
             "--trace-out" => o.trace_out = Some(val.clone()),

@@ -76,16 +76,12 @@ pub fn ns2_cells(modes: &[TransportMode], args: &Args) -> Vec<Ns2Cell> {
         .collect()
 }
 
-/// Engine cost knobs for before/after benchmarking. Both are pure
-/// engine-side switches: physical results are byte-identical across every
-/// combination (the simnet differential suite and `bench_simnet` assert
-/// it), only wall-clock and event-queue counters move.
-#[derive(Debug, Clone, Copy)]
+/// Observers attached to a cell's run. Each is pure observation:
+/// canonical results (physics and engine counters) are byte-identical
+/// with it on or off (`bench_simnet` and the simnet identity suites
+/// assert it); only wall-clock and the attached report move.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EngineOpts {
-    pub queue: silo_base::QueueBackend,
-    /// `SimConfig::cancel_timers`: off reproduces the tombstone timer
-    /// scheme (the pre-cancellation engine) for baseline phases.
-    pub cancel_timers: bool,
     /// Attach the invariant-audit layer (`SimConfig::audit`, default
     /// config). Pure observation: physical results stay byte-identical;
     /// the report lands in `Metrics::audit`.
@@ -99,24 +95,6 @@ pub struct EngineOpts {
     /// physics stay byte-identical; the log lands in
     /// `Metrics::telemetry`.
     pub telemetry: bool,
-    /// Hot-path event diet (`SimConfig::coalesce_voids` +
-    /// `SimConfig::elide_nic_pulls`). Off reproduces the pre-diet engine
-    /// — one event per void chunk, one pull per batch boundary — for the
-    /// `void_coalesce` before/after phase.
-    pub coalesce: bool,
-}
-
-impl Default for EngineOpts {
-    fn default() -> EngineOpts {
-        EngineOpts {
-            queue: silo_base::QueueBackend::default(),
-            cancel_timers: true,
-            audit: false,
-            trace: false,
-            telemetry: false,
-            coalesce: true,
-        }
-    }
 }
 
 /// Execute one cell: place a population and run the packet simulator.
@@ -124,9 +102,8 @@ pub fn run_ns2_cell(cell: &Ns2Cell, args: &Args) -> (Vec<NsTenant>, Metrics) {
     run_ns2_cell_with_engine(cell, args, EngineOpts::default())
 }
 
-/// [`run_ns2_cell`] with explicit engine knobs — the simnet
-/// microbenchmark runs the same cells across queue backends and the
-/// timer-cancellation toggle to measure engine speedups.
+/// [`run_ns2_cell`] with observers attached — `bench_simnet` runs the
+/// same cells with each observer on to measure its wall-clock cost.
 pub fn run_ns2_cell_with_engine(
     cell: &Ns2Cell,
     args: &Args,
@@ -146,10 +123,6 @@ pub fn run_ns2_cell_with_engine(
     );
     // (Oktopus's no-burst semantics are applied by Sim::new itself.)
     let mut cfg = SimConfig::new(cell.mode, Dur::from_ms(args.duration_ms), cell.seed);
-    cfg.queue = eng.queue;
-    cfg.cancel_timers = eng.cancel_timers;
-    cfg.coalesce_voids = eng.coalesce;
-    cfg.elide_nic_pulls = eng.coalesce;
     if eng.audit {
         cfg.audit = Some(silo_simnet::AuditConfig::default());
     }

@@ -41,13 +41,7 @@ fn small_args(threads: usize) -> Args {
         runs: 2,
         occupancy: 0.9,
         threads,
-        profile: false,
-        audit: false,
-        trace: None,
-        trace_perfetto: None,
-        no_coalesce: false,
-        telemetry: None,
-        telemetry_openmetrics: None,
+        ..Args::default()
     }
 }
 

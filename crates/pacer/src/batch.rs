@@ -13,7 +13,7 @@
 //! "the pacer does not incur any extra CPU overhead when the network is
 //! idle").
 
-use silo_base::{Bytes, Dur, EventQueue, QueueBackend, Rate, Time};
+use silo_base::{Bytes, Dur, EventQueue, Rate, Time};
 
 /// The smallest frame a NIC can put on the wire: 64 B Ethernet minimum +
 /// 20 B preamble/IPG = 84 B, i.e. 67.2 ns at 10 GbE — the pacer's spacing
@@ -215,25 +215,13 @@ impl<P> PacedBatcher<P> {
     /// `link` is the NIC line rate; `window` the batch length in wire time
     /// (the paper uses 50 µs); `mtu` caps individual void frames.
     pub fn new(link: Rate, window: Dur, mtu: Bytes) -> PacedBatcher<P> {
-        PacedBatcher::with_queue_backend(link, window, mtu, QueueBackend::default())
-    }
-
-    /// [`PacedBatcher::new`] with an explicit stamp-queue backend — the
-    /// differential tests run the same workload through the timer wheel
-    /// and the reference heap and demand identical wire schedules.
-    pub fn with_queue_backend(
-        link: Rate,
-        window: Dur,
-        mtu: Bytes,
-        backend: QueueBackend,
-    ) -> PacedBatcher<P> {
         assert!(window > Dur::ZERO);
         assert!(mtu.as_u64() >= MIN_VOID_BYTES);
         PacedBatcher {
             link,
             window,
             mtu,
-            queue: EventQueue::with_backend(backend),
+            queue: EventQueue::new(),
             coalesce: false,
             early_releases: 0,
         }

@@ -1,12 +1,13 @@
-//! Golden-master and differential tests for the pacer's wire schedule
+//! Golden-master and property tests for the pacer's wire schedule
 //! (§4.3.1, Fig. 9): the exact frame sequence a NIC transmits is part of
 //! Silo's contract — data packets leave at their token-bucket stamps,
 //! never early, with at most one minimal void frame (67.2 ns at 10 GbE)
-//! of added delay, and the schedule must not depend on which stamp-queue
-//! backend the batcher happens to use.
+//! of added delay. That the stamp queue orders like a `BinaryHeap` is
+//! proven once, at the queue layer (`silo_base::eventq`'s reference-heap
+//! differentials).
 
 use rand::Rng;
-use silo_base::{seeded_rng, Bytes, Dur, QueueBackend, Rate, Time};
+use silo_base::{seeded_rng, Bytes, Dur, Rate, Time};
 use silo_pacer::batch::{Batch, FrameKind, PacedBatcher, WireFrame, MIN_VOID_BYTES};
 
 const LINK: Rate = Rate(10_000_000_000);
@@ -165,43 +166,5 @@ fn paced_flow_achieves_98pct_of_ideal_rate_1_to_9_gbps() {
                 f.start.since(stamp).as_ps()
             );
         }
-    }
-}
-
-#[test]
-fn wheel_and_heap_backends_emit_identical_schedules() {
-    // Same random workload through the timer wheel and the reference
-    // BinaryHeap: the batcher's wire schedule (and therefore everything
-    // downstream of the pacer) must be byte-identical.
-    let mut rng = seeded_rng(7);
-    let mut wheel =
-        PacedBatcher::with_queue_backend(LINK, Dur::from_us(50), Bytes(1500), QueueBackend::Wheel);
-    let mut heap =
-        PacedBatcher::with_queue_backend(LINK, Dur::from_us(50), Bytes(1500), QueueBackend::Heap);
-    let mut now = Time::ZERO;
-    for round in 0..200u32 {
-        // A burst of stamps around `now` — including equal stamps (FIFO
-        // tie-break is part of the contract) and stamps already in the
-        // past (late arrivals from a slow pacing chain).
-        for j in 0..rng.random_range(1..8u32) {
-            let t = match rng.random_range(0..4u32) {
-                0 => now,
-                1 => Time(now.as_ps().saturating_sub(rng.random_range(0..500_000u64))),
-                _ => now + Dur::from_ns(rng.random_range(0..200_000u64)),
-            };
-            let size = Bytes(rng.random_range(MIN_VOID_BYTES..1501));
-            wheel.enqueue(t, size, (round, j));
-            heap.enqueue(t, size, (round, j));
-        }
-        let bw = wheel.next_batch(now);
-        let bh = heap.next_batch(now);
-        assert_eq!(render(&bw), render(&bh), "round {round}");
-        assert_eq!(
-            bw.frames.iter().map(|f| f.payload).collect::<Vec<_>>(),
-            bh.frames.iter().map(|f| f.payload).collect::<Vec<_>>(),
-            "round {round}: payload order diverged"
-        );
-        assert_eq!(bw.done_at, bh.done_at);
-        now = bw.done_at.max(now) + Dur::from_us(rng.random_range(1..30u64));
     }
 }

@@ -64,19 +64,14 @@ impl EvKind {
 }
 
 /// Per-event-kind accounting of what the engine did with its events:
-/// `scheduled` were pushed into the queue, `fired` were dispatched,
-/// `stale` were dispatched but discarded as superseded (tombstone timers
-/// whose marker no longer matched — pure dispatch-loop waste), and
+/// `scheduled` were pushed into the queue, `fired` were dispatched, and
 /// `cancelled` were removed from the queue before firing (disarmed RTOs,
-/// superseded NIC pulls, under `SimConfig::cancel_timers`). The elision
-/// layer's win is `cancelled` plus the drop in `stale`: every cancelled
-/// timer is a tombstone the engine never had to store, cascade through
-/// the wheel, pop, and dispatch into a no-op.
+/// superseded NIC pulls). Every cancelled timer is one the engine never
+/// had to cascade through the wheel, pop, and dispatch into a no-op.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventProfile {
     pub scheduled: [u64; EvKind::COUNT],
     pub fired: [u64; EvKind::COUNT],
-    pub stale: [u64; EvKind::COUNT],
     pub cancelled: [u64; EvKind::COUNT],
 }
 
@@ -86,9 +81,6 @@ impl EventProfile {
     }
     pub fn total_fired(&self) -> u64 {
         self.fired.iter().sum()
-    }
-    pub fn total_stale(&self) -> u64 {
-        self.stale.iter().sum()
     }
     pub fn total_cancelled(&self) -> u64 {
         self.cancelled.iter().sum()
@@ -113,7 +105,6 @@ impl EventProfile {
         for i in 0..EvKind::COUNT {
             self.scheduled[i] += other.scheduled[i];
             self.fired[i] += other.fired[i];
-            self.stale[i] += other.stale[i];
             self.cancelled[i] += other.cancelled[i];
         }
     }
@@ -122,29 +113,27 @@ impl EventProfile {
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<12} {:>14} {:>14} {:>14} {:>14}\n",
-            "kind", "scheduled", "fired", "stale", "cancelled"
+            "{:<12} {:>14} {:>14} {:>14}\n",
+            "kind", "scheduled", "fired", "cancelled"
         ));
         for k in EvKind::ALL {
             let i = k as usize;
-            if self.scheduled[i] + self.fired[i] + self.stale[i] + self.cancelled[i] == 0 {
+            if self.scheduled[i] + self.fired[i] + self.cancelled[i] == 0 {
                 continue;
             }
             out.push_str(&format!(
-                "{:<12} {:>14} {:>14} {:>14} {:>14}\n",
+                "{:<12} {:>14} {:>14} {:>14}\n",
                 k.label(),
                 self.scheduled[i],
                 self.fired[i],
-                self.stale[i],
                 self.cancelled[i]
             ));
         }
         out.push_str(&format!(
-            "{:<12} {:>14} {:>14} {:>14} {:>14}\n",
+            "{:<12} {:>14} {:>14} {:>14}\n",
             "total",
             self.total_scheduled(),
             self.total_fired(),
-            self.total_stale(),
             self.total_cancelled()
         ));
         out
@@ -237,10 +226,10 @@ pub struct Metrics {
     /// release-mode invariant check (see `silo_pacer::TokenBucket`).
     /// Always checked; any non-zero value is a pacer bug.
     pub token_violations: u64,
-    /// Per-event-kind scheduled/fired/stale/cancelled counts. Engine
+    /// Per-event-kind scheduled/fired/cancelled counts. Engine
     /// introspection only: deliberately absent from both serializations
-    /// below, so profiles may differ between equivalent engine
-    /// configurations without breaking fingerprint comparisons.
+    /// below, which describe the answer rather than the engine's path to
+    /// it.
     pub profile: EventProfile,
     /// Invariant-audit results; `Some` iff the run set `SimConfig::audit`.
     /// Like `profile`, deliberately absent from both serializations: the
@@ -346,10 +335,10 @@ impl Metrics {
 
     /// [`Metrics::canonical_json`] minus the engine bookkeeping counters
     /// (`events_processed`, `peak_event_queue`). Those counters describe
-    /// how the engine *got* to the answer, not the answer: timer
-    /// cancellation legitimately changes them while leaving every
-    /// physical observable untouched. The golden-equivalence
-    /// suites compare this serialization across engine configurations.
+    /// how the engine *got* to the answer, not the answer: an engine
+    /// change such as timer cancellation moves them while leaving every
+    /// physical observable untouched. Observer on/off identity suites and
+    /// benchmark fingerprints compare this serialization.
     pub fn physics_json(&self) -> String {
         self.serialize(false)
     }

@@ -30,9 +30,9 @@ enum Ev {
     /// An egress port finished a transmission.
     PortFree(PortId),
     /// DMA-completion / soft-timer pull of the next paced batch.
-    NicPull { host: u32, marker: u64 },
+    NicPull { host: u32 },
     /// Retransmission timeout.
-    Rto { conn: u32, marker: u32 },
+    Rto { conn: u32 },
     /// Next ETC client request becomes due.
     EtcArrival { vm: u32 },
     /// OLDI tenant fires a simultaneous all-to-one burst.
@@ -101,13 +101,10 @@ enum VmApp {
 /// Per-host NIC state for the paced modes.
 struct HostNic {
     batcher: PacedBatcher<PktId>,
-    pull_marker: u64,
-    /// Cancellation handle of the armed `NicPull`, when the engine runs
-    /// with cancelable timers (superseded pulls are removed, not
-    /// tombstoned).
+    /// Cancellation handle of the armed `NicPull` (a re-arm cancels the
+    /// superseded pull, so at most one is ever pending).
     pull_key: Option<EvKey>,
-    /// Instant of the armed `NicPull`, `None` when no live pull is
-    /// pending (superseded pulls don't count — the marker kills them).
+    /// Instant of the armed `NicPull`, `None` when no pull is pending.
     /// The fast-forward path (`Sim::ensure_pull`) compares against it to
     /// skip re-arms that would land at the same instant.
     pull_at: Option<Time>,
@@ -147,7 +144,7 @@ pub struct Sim {
     txn_starts: FxHashMap<u64, Time>,
     next_txn: u64,
     ack_size: Bytes,
-    /// Per-event-kind scheduled/fired/stale/cancelled counters, copied
+    /// Per-event-kind scheduled/fired/cancelled counters, copied
     /// into `Metrics::profile` at the end of the run.
     profile: EventProfile,
     /// Reusable frame storage for the NIC pull path (allocation-light
@@ -251,14 +248,16 @@ impl Sim {
             .map(|_| {
                 let mut batcher =
                     PacedBatcher::new(topo.params().host_link, cfg.batch_window, cfg.mtu);
-                batcher.coalesce_voids(cfg.coalesce_voids);
+                // One frame per void run: the pull loop touches one
+                // frame per gap, and observers re-expand the run into
+                // its per-chunk frames (`on_nic_pull`).
+                batcher.coalesce_voids(true);
                 // A host's stamp queue holds at most a couple of batch
                 // windows of MTU frames per backlogged VM; 256 covers the
                 // common case without over-reserving idle hosts.
                 batcher.reserve(256);
                 HostNic {
                     batcher,
-                    pull_marker: 0,
                     pull_key: None,
                     pull_at: None,
                     busy_until: Time::ZERO,
@@ -303,7 +302,7 @@ impl Sim {
                 .collect(),
             ..Metrics::default()
         };
-        let mut events = EventQueue::with_backend(cfg.queue);
+        let mut events = EventQueue::new();
         let num_hosts = topo.num_hosts();
         let num_switch_ports = topo.num_ports();
         // Topology-derived occupancy bound: at steady state each directed
@@ -892,61 +891,43 @@ impl Sim {
     }
 
     fn arm_rto(&mut self, conn: u32) {
-        let (marker, at) = {
+        let at = {
             let c = &mut self.conns[conn as usize];
-            c.rto_marker += 1;
             c.rto_armed_at = self.now;
             // Clock from the latest wire departure: time spent queued in
             // the hypervisor pacer must not fire spurious timeouts.
             let base = self.now.max(c.last_depart);
-            (c.rto_marker, base + c.rto(self.cfg.min_rto))
+            base + c.rto(self.cfg.min_rto)
         };
-        if self.cfg.cancel_timers {
-            // Re-arming supersedes the pending timer: remove it instead of
-            // leaving a tombstone to bloat the queue until it expires.
-            if let Some(k) = self.conns[conn as usize].rto_key.take() {
-                if self.events.cancel(k) {
-                    self.profile.cancelled[EvKind::Rto as usize] += 1;
-                }
-            }
-            let key = self.push_cancelable(at, Ev::Rto { conn, marker });
-            self.conns[conn as usize].rto_key = Some(key);
-        } else {
-            self.push(at, Ev::Rto { conn, marker });
-        }
+        // Re-arming supersedes the pending timer: remove it instead of
+        // leaving it to bloat the queue until it expires.
+        self.disarm_rto(conn);
+        let key = self.push_cancelable(at, Ev::Rto { conn });
+        self.conns[conn as usize].rto_key = Some(key);
     }
 
     fn disarm_rto(&mut self, conn: u32) {
-        let c = &mut self.conns[conn as usize];
-        c.rto_marker += 1;
-        if let Some(k) = c.rto_key.take() {
+        if let Some(k) = self.conns[conn as usize].rto_key.take() {
             if self.events.cancel(k) {
                 self.profile.cancelled[EvKind::Rto as usize] += 1;
             }
         }
     }
 
-    fn on_rto(&mut self, conn: u32, marker: u32) {
-        {
-            let c = &mut self.conns[conn as usize];
-            if c.rto_marker == marker {
-                // The armed timer just fired: its key left the queue.
-                c.rto_key = None;
-            } else {
-                // A tombstone from the marker scheme: the timer was
-                // superseded after this event was already buried in the
-                // queue. Pure dispatch waste (`cancel_timers` removes
-                // these at re-arm time instead).
-                self.profile.stale[EvKind::Rto as usize] += 1;
-                return;
-            }
-            let c = &self.conns[conn as usize];
-            if c.flight() == 0 {
-                return;
-            }
-            if self.faults_on && !self.tenant_up[c.tenant as usize] {
-                return;
-            }
+    fn on_rto(&mut self, conn: u32) {
+        // The armed timer just fired: its key left the queue. A superseded
+        // or disarmed timer was cancelled, so it never reaches dispatch.
+        let key = self.conns[conn as usize].rto_key.take();
+        debug_assert!(
+            key.is_some_and(|k| !self.events.is_pending(k)),
+            "conn {conn}: a superseded or disarmed RTO fired"
+        );
+        let c = &self.conns[conn as usize];
+        if c.flight() == 0 {
+            return;
+        }
+        if self.faults_on && !self.tenant_up[c.tenant as usize] {
+            return;
         }
         self.metrics.rtos += 1;
         if self.trace.is_some() {
@@ -1080,24 +1061,14 @@ impl Sim {
         } else {
             at
         };
-        self.nics[host].pull_marker += 1;
-        let marker = self.nics[host].pull_marker;
         self.nics[host].pull_at = Some(at);
-        let ev = Ev::NicPull {
-            host: host as u32,
-            marker,
-        };
-        if self.cfg.cancel_timers {
-            if let Some(k) = self.nics[host].pull_key.take() {
-                if self.events.cancel(k) {
-                    self.profile.cancelled[EvKind::NicPull as usize] += 1;
-                }
+        if let Some(k) = self.nics[host].pull_key.take() {
+            if self.events.cancel(k) {
+                self.profile.cancelled[EvKind::NicPull as usize] += 1;
             }
-            let key = self.push_cancelable(at, ev);
-            self.nics[host].pull_key = Some(key);
-        } else {
-            self.push(at, ev);
         }
+        let key = self.push_cancelable(at, Ev::NicPull { host: host as u32 });
+        self.nics[host].pull_key = Some(key);
     }
 
     /// Fast-forward arming: ensure a pull is pending at the earliest
@@ -1105,7 +1076,7 @@ impl Sim {
     /// now)`. Between pulls the stamp frontier only moves *earlier* (new
     /// enqueues), so the wanted instant only tightens; a pull already
     /// armed there is left alone — the eager scheme would re-arm it at
-    /// the same instant with a fresh marker, pure event churn with an
+    /// the same instant, pure event churn with an
     /// identical wire schedule (equivalence argument in DESIGN.md).
     /// Empty queue: nothing armed, the NIC sleeps until the next enqueue.
     fn ensure_pull(&mut self, host: usize) {
@@ -1127,20 +1098,19 @@ impl Sim {
     /// on the frames a pull emits, not on the pull's arming).
     #[inline]
     fn fast_forward(&self, host: usize) -> bool {
-        self.cfg.elide_nic_pulls && !self.nic_fault_targets[host]
+        !self.nic_fault_targets[host]
     }
 
-    fn on_nic_pull(&mut self, host: u32, marker: u64) {
+    fn on_nic_pull(&mut self, host: u32) {
         let h = host as usize;
-        if self.nics[h].pull_marker == marker {
-            // The armed pull just fired: its key left the queue.
-            self.nics[h].pull_key = None;
-            self.nics[h].pull_at = None;
-        } else {
-            // Superseded pull tombstone (see `on_rto`).
-            self.profile.stale[EvKind::NicPull as usize] += 1;
-            return;
-        }
+        // The armed pull just fired: its key left the queue. A superseded
+        // pull was cancelled at re-arm, so it never reaches dispatch.
+        let key = self.nics[h].pull_key.take();
+        debug_assert!(
+            key.is_some_and(|k| !self.events.is_pending(k)),
+            "host {h}: a superseded NIC pull fired"
+        );
+        self.nics[h].pull_at = None;
         if self.faults_on && self.now < self.nic_stall_until[h] {
             // The pacer timer is stalled: defer this pull to the window
             // end (arm_nic re-applies the stall clamp).
@@ -1225,13 +1195,12 @@ impl Sim {
                 self.arena[id].hop = 1; // the NIC wire is hop 0
                 let arrive = f.start + link.tx_time(f.size) + prop;
                 self.push(arrive, Ev::Arrive(id));
-            } else if let Some(gap_end) = f.gap_end {
+            } else {
                 // A coalesced void run: one frame stands for the whole
-                // gap. Observers must see the exact per-chunk frames an
-                // uncoalesced batcher emits, so the run is re-expanded
-                // through the same chunk math (byte-identical audit
-                // report and flight-recorder log — the CI differential
-                // gate diffs the traces).
+                // gap. Observers see the exact per-chunk frames an
+                // uncoalesced batcher emits: the run is re-expanded
+                // through the same chunk math.
+                let gap_end = f.gap_end.expect("the NIC batchers coalesce voids");
                 if self.audit.is_some() || self.trace.is_some() {
                     for (s, size) in VoidChunks::new(f.start, gap_end, link, mtu) {
                         if let Some(a) = self.audit.as_mut() {
@@ -1243,17 +1212,6 @@ impl Sim {
                                 t.nic_void(host, s, tx, size.as_u64());
                             }
                         }
-                    }
-                }
-            } else {
-                if let Some(a) = self.audit.as_mut() {
-                    a.on_wire_frame(h, f.start, f.size, link);
-                }
-                if self.trace.is_some() {
-                    let (start, tx) = f.span(link);
-                    let size = f.size.as_u64();
-                    if let Some(t) = self.trace.as_mut() {
-                        t.nic_void(host, start, tx, size);
                     }
                 }
             }
@@ -2003,13 +1961,7 @@ impl Sim {
             c.wr_end = c.una; // abandon everything not yet acknowledged
             c.msgs.clear();
             c.inflight_meta.clear();
-            c.rto_marker += 1; // disarm any pending RTO
-            let key = c.rto_key.take();
-            if let Some(k) = key {
-                if self.events.cancel(k) {
-                    self.profile.cancelled[EvKind::Rto as usize] += 1;
-                }
-            }
+            self.disarm_rto(ci);
         }
         if self.cfg.mode.paced() {
             self.update_tenant_hose(ti);
@@ -2047,13 +1999,7 @@ impl Sim {
             c.srtt = None;
             c.rttvar = Dur::ZERO;
             c.rto_backoff = 0;
-            c.rto_marker += 1;
-            let key = c.rto_key.take();
-            if let Some(k) = key {
-                if self.events.cancel(k) {
-                    self.profile.cancelled[EvKind::Rto as usize] += 1;
-                }
-            }
+            self.disarm_rto(ci);
             let c = &mut self.conns[ci as usize];
             c.pace_blocked = false;
             c.alpha = 0.0;
@@ -2193,8 +2139,8 @@ impl Sim {
             match ev {
                 Ev::Arrive(id) => self.on_arrive(id),
                 Ev::PortFree(p) => self.on_port_free(p),
-                Ev::NicPull { host, marker } => self.on_nic_pull(host, marker),
-                Ev::Rto { conn, marker } => self.on_rto(conn, marker),
+                Ev::NicPull { host } => self.on_nic_pull(host),
+                Ev::Rto { conn } => self.on_rto(conn),
                 Ev::EtcArrival { vm } => self.on_etc_arrival(vm),
                 Ev::Oldi { tenant } => self.on_oldi(tenant),
                 Ev::PoissonMsg { tenant, pair } => self.on_poisson_msg(tenant, pair),

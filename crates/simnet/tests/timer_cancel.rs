@@ -1,15 +1,17 @@
-//! Differential tests for cancelable timers (`SimConfig::cancel_timers`).
+//! Timer discipline of the engine: a re-armed or disarmed RTO / NIC pull
+//! is cancelled in the queue (slot-generation keys in `silo_base::eventq`)
+//! rather than left to fire into a no-op, and the engine's event profile
+//! accounts for every event.
 //!
-//! The cancellation scheme replaces the original tombstone protocol —
-//! superseded RTOs and NIC pulls stayed buried in the event queue until
-//! they fired into a marker-mismatch no-op — with slot-generation keys
-//! that remove the event at re-arm/disarm time. Removing a dispatch that
-//! provably does nothing cannot change physics, so every physical
-//! observable must be byte-identical across the toggle; only the engine
-//! counters (events processed, peak occupancy, the event profile) may
-//! move. These tests pin both halves of that contract.
+//! That cancellation dequeues survivors exactly as the original tombstone
+//! scheme did is proven at the queue layer
+//! (`eventq::cancel_matches_tombstone_dequeue_order`); that no superseded
+//! timer ever dispatches is a `debug_assert!` in `Sim::on_rto` and
+//! `Sim::on_nic_pull`, which every debug-mode run below exercises. The
+//! exact bytes of the default engine's outputs are pinned by
+//! `silo-bench`'s `engine_golden` test.
 
-use silo_base::{Bytes, Dur, QueueBackend, Rate, Time};
+use silo_base::{Bytes, Dur, Rate, Time};
 use silo_simnet::{
     EvKind, FaultPlan, Metrics, Sim, SimConfig, TenantSpec, TenantWorkload, TransportMode,
 };
@@ -57,76 +59,35 @@ fn incast_tenant(n: u32) -> TenantSpec {
     }
 }
 
-/// Run the same scenario with cancellation on and off; assert identical
-/// physics and return `(with_cancel, tombstones)` for counter checks.
-fn run_pair(
-    topo_servers: usize,
-    mut cfg: SimConfig,
-    tenants: Vec<TenantSpec>,
-) -> (Metrics, Metrics) {
-    cfg.cancel_timers = true;
-    let on = Sim::new(small_topo(topo_servers), cfg.clone(), tenants.clone()).run();
-    cfg.cancel_timers = false;
-    let off = Sim::new(small_topo(topo_servers), cfg, tenants).run();
-    assert_eq!(
-        on.physics_json(),
-        off.physics_json(),
-        "cancel_timers must not change any physical observable"
-    );
-    (on, off)
-}
-
 #[test]
-fn cancellation_is_physics_exact_tcp_bulk() {
+fn superseded_rtos_are_cancelled_tcp_bulk() {
+    // Every segment send re-arms the connection RTO: the superseded timer
+    // must be removed from the queue, not dispatched.
     let cfg = SimConfig::new(TransportMode::Tcp, Dur::from_ms(50), 1);
     let tenants = vec![bulk_tenant(&[0, 1], Bytes::from_mb(64))];
-    let (on, off) = run_pair(2, cfg, tenants);
-
-    // Every segment send re-arms the connection RTO, so the tombstone run
-    // buries one dead timer per send. Cancellation must convert that
-    // entire population from stale dispatches into cancellations.
+    let m = Sim::new(small_topo(2), cfg, tenants).run();
     let rto = EvKind::Rto as usize;
+    assert!(m.profile.cancelled[rto] > 0);
     assert!(
-        off.profile.stale[rto] > 0,
-        "tombstone run must see stale RTOs"
-    );
-    assert_eq!(off.profile.total_cancelled(), 0);
-    assert_eq!(
-        on.profile.stale[rto], 0,
-        "no tombstone may survive cancellation"
-    );
-    assert!(on.profile.cancelled[rto] > 0);
-
-    // Dead timers dominate the queue: cancellation must cut both the
-    // dispatch count and the high-water occupancy, the latter by well
-    // over the 30% the optimization was sized for.
-    assert!(on.events_processed < off.events_processed);
-    assert!(
-        (on.peak_event_queue as f64) < 0.7 * off.peak_event_queue as f64,
-        "peak occupancy {} vs {} — expected ≥30% reduction",
-        on.peak_event_queue,
-        off.peak_event_queue
+        m.profile.cancelled[rto] > 100 * m.profile.fired[rto],
+        "re-arms dominate: {} cancelled vs {} fired",
+        m.profile.cancelled[rto],
+        m.profile.fired[rto]
     );
 }
 
 #[test]
-fn cancellation_is_physics_exact_tcp_incast() {
+fn fired_rtos_exercise_the_timeout_path_tcp_incast() {
     // RTO-heavy: incast drops force real retransmission timeouts, so the
     // disarm/fire/backoff paths all execute.
     let cfg = SimConfig::new(TransportMode::Tcp, Dur::from_ms(50), 2);
-    let (on, _off) = run_pair(6, cfg, vec![incast_tenant(6)]);
-    assert!(on.rtos > 0, "scenario must exercise fired RTOs");
-    assert!(on.profile.fired[EvKind::Rto as usize] > 0);
+    let m = Sim::new(small_topo(6), cfg, vec![incast_tenant(6)]).run();
+    assert!(m.rtos > 0, "scenario must exercise fired RTOs");
+    assert!(m.profile.fired[EvKind::Rto as usize] > 0);
 }
 
 #[test]
-fn cancellation_is_physics_exact_dctcp() {
-    let cfg = SimConfig::new(TransportMode::Dctcp, Dur::from_ms(50), 3);
-    run_pair(2, cfg, vec![bulk_tenant(&[0, 1], Bytes::from_mb(64))]);
-}
-
-#[test]
-fn cancellation_is_physics_exact_silo_paced() {
+fn superseded_timers_are_cancelled_silo_paced() {
     // Paced mode exercises the NIC-pull timer: every batch re-arms the
     // pull, and datapath sends re-arm it mid-window.
     let cfg = SimConfig::new(TransportMode::Silo, Dur::from_ms(50), 2);
@@ -142,39 +103,90 @@ fn cancellation_is_physics_exact_silo_paced() {
             interval: Dur::from_ms(1),
         },
     }];
-    let (on, off) = run_pair(6, cfg, tenants);
-    let pull = EvKind::NicPull as usize;
-    assert_eq!(on.profile.stale[pull], 0);
+    let m = Sim::new(small_topo(6), cfg, tenants).run();
     assert!(
-        on.profile.cancelled[pull] + on.profile.cancelled[EvKind::Rto as usize] > 0,
+        m.profile.cancelled[EvKind::NicPull as usize] + m.profile.cancelled[EvKind::Rto as usize]
+            > 0,
         "paced run must cancel superseded timers"
     );
-    assert!(off.profile.stale[pull] + off.profile.stale[EvKind::Rto as usize] > 0);
 }
 
 #[test]
-fn cancellation_is_physics_exact_under_faults() {
+fn timer_churn_under_a_link_outage() {
     // A mid-run link outage flushes queues, black-holes traffic, and
     // triggers RTO storms plus tenant-level disarms — the hairiest timer
-    // churn the engine has. Physics must still be identical.
+    // churn the engine has. Debug runs check every fired timer was live.
     let mut cfg = SimConfig::new(TransportMode::Tcp, Dur::from_ms(50), 4);
     cfg.faults = FaultPlan::new().link_down(Time::from_ms(10), Some(Time::from_ms(25)), 0);
-    run_pair(2, cfg, vec![bulk_tenant(&[0, 1], Bytes::from_mb(64))]);
+    let m = Sim::new(
+        small_topo(2),
+        cfg,
+        vec![bulk_tenant(&[0, 1], Bytes::from_mb(64))],
+    )
+    .run();
+    assert!(
+        m.profile.fired[EvKind::Rto as usize] > 0,
+        "the outage must fire RTOs"
+    );
 }
 
 #[test]
-fn cancellation_agrees_across_queue_backends() {
-    // EvKey cancellation is implemented by both event-queue backends;
-    // heap and wheel must agree event-for-event, including the engine
-    // counters (full canonical serialization, not just physics).
-    let mut cfg = SimConfig::new(TransportMode::Tcp, Dur::from_ms(50), 5);
-    cfg.cancel_timers = true;
-    let tenants = vec![bulk_tenant(&[0, 1], Bytes::from_mb(64))];
-    cfg.queue = QueueBackend::Wheel;
-    let wheel = Sim::new(small_topo(2), cfg.clone(), tenants.clone()).run();
-    cfg.queue = QueueBackend::Heap;
-    let heap = Sim::new(small_topo(2), cfg, tenants).run();
-    assert_eq!(wheel.canonical_json(), heap.canonical_json());
+fn fast_forward_narrows_to_stall_targets() {
+    // The idle-pacer fast-forward is withdrawn only on hosts a pacer
+    // stall or drift window targets; those hosts arm a pull at every
+    // batch boundary instead. A window past the horizon never strikes,
+    // so it changes which hosts fast-forward and nothing else: physics
+    // must be byte-identical with none, one or all four hosts on the
+    // eager path, while each host moved to it fires strictly more pulls.
+    let tenants = || {
+        vec![
+            TenantSpec {
+                vm_hosts: vec![HostId(0), HostId(1)],
+                b: Rate::from_mbps(500),
+                s: Bytes::from_kb(15),
+                bmax: Rate::from_gbps(1),
+                prio: 0,
+                delay: None,
+                workload: TenantWorkload::OldiPeriodic {
+                    msg: Bytes::from_kb(15),
+                    period: Dur::from_ms(2),
+                },
+            },
+            TenantSpec {
+                vm_hosts: vec![HostId(2), HostId(3)],
+                b: Rate::from_gbps(3),
+                s: Bytes(1500),
+                bmax: Rate::from_gbps(10),
+                prio: 1,
+                delay: None,
+                workload: TenantWorkload::BulkAllToAll {
+                    msg: Bytes::from_kb(256),
+                },
+            },
+        ]
+    };
+    let run = |eager: &[u32]| {
+        let mut cfg = SimConfig::new(TransportMode::Silo, Dur::from_ms(40), 7);
+        for &h in eager {
+            cfg.faults = cfg
+                .faults
+                .pacer_stall(Time::from_ms(100), Time::from_ms(110), h);
+        }
+        Sim::new(small_topo(4), cfg, tenants()).run()
+    };
+    let lean = run(&[]);
+    let one = run(&[0]);
+    let all = run(&[0, 1, 2, 3]);
+    assert_eq!(lean.physics_json(), one.physics_json());
+    assert_eq!(lean.physics_json(), all.physics_json());
+    let pulls = |m: &Metrics| m.profile.fired[EvKind::NicPull as usize];
+    assert!(
+        pulls(&lean) < pulls(&one) && pulls(&one) < pulls(&all),
+        "pulls fired: none eager {}, host 0 eager {}, all eager {}",
+        pulls(&lean),
+        pulls(&one),
+        pulls(&all)
+    );
 }
 
 #[test]
