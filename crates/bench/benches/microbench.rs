@@ -5,12 +5,14 @@
 //!
 //! Self-contained harness (`harness = false`): each benchmark reports the
 //! median ns/iteration over several samples. `--quick` cuts sample counts
-//! for CI. The event-queue benches double as a machine-independent
-//! regression gate: the timer wheel must not be slower than the reference
-//! heap on the simulator's event pattern (enforced with `--enforce`).
+//! for CI. Several benches double as machine-independent regression
+//! gates, each a ratio against a reference (enforced with `--enforce`):
+//! the timer wheel against the reference heap, timer cancellation against
+//! tombstones, coalesced against per-chunk void emission, and the
+//! water-fill against its reference rescan.
 
 use silo_base::{seeded_rng, Bytes, Dur, EventQueue, Rate, Time};
-use silo_flowsim::{waterfill, Allocator};
+use silo_flowsim::{reference_waterfill, waterfill, AllocFlow};
 use silo_netcalc::{backlog_bound, Curve, ServiceCurve};
 use silo_pacer::{Batch, BucketChain, PacedBatcher, TokenBucket};
 use silo_placement::{Guarantee, Placer, SiloPlacer, TenantRequest};
@@ -140,26 +142,64 @@ fn bench_netcalc(h: &mut Harness) {
     });
 }
 
-fn bench_waterfill(h: &mut Harness) {
+fn alloc_flow(topo: &Topology, s: HostId, d: HostId) -> AllocFlow {
+    AllocFlow {
+        path: topo.path_ports(s, d),
+        src_hose: Rate::from_gbps(1),
+        out_deg: 1,
+        dst_hose: Rate::from_gbps(1),
+        in_deg: 1,
+    }
+}
+
+/// Max-min water-fill vs. its reference rescan. Returns the
+/// (reference, water-fill) ns per call on the Fig-16a-shaped input.
+fn bench_waterfill(h: &mut Harness) -> (f64, f64) {
+    // 1000 skewed flows on the ns2 tree: few links, many flows each.
     let topo = Topology::build(TreeParams::ns2_paper());
     let mut rng = seeded_rng(7);
-    let flows: Vec<silo_flowsim::AllocFlow> = (0..1000)
+    let flows: Vec<AllocFlow> = (0..1000)
         .map(|_| {
             let s = HostId((silo_base::exponential(&mut rng, 1.0) * 100.0) as u32 % 400);
             let d = HostId((silo_base::exponential(&mut rng, 1.0) * 173.0) as u32 % 400);
-            silo_flowsim::AllocFlow {
-                path: topo.path_ports(s, d),
-                src_hose: Rate::from_gbps(1),
-                out_deg: 1,
-                dst_hose: Rate::from_gbps(1),
-                in_deg: 1,
-            }
+            alloc_flow(&topo, s, d)
         })
         .collect();
     h.bench("flowsim/waterfill_1000_flows", || {
         std::hint::black_box(waterfill(&topo, std::hint::black_box(&flows)));
     });
-    let _ = Allocator::FairShare;
+    h.bench("flowsim/reference_waterfill_1000_flows", || {
+        std::hint::black_box(reference_waterfill(&topo, std::hint::black_box(&flows)));
+    });
+    // The Fig-16a flow-level tree (2 pods x 5 racks x 50 servers, 1:5
+    // oversubscription, 4 VMs per host) with one Permutation-1 flow per VM.
+    let topo = Topology::build(TreeParams {
+        pods: 2,
+        racks_per_pod: 5,
+        servers_per_rack: 50,
+        vm_slots_per_server: 4,
+        host_link: Rate::from_gbps(10),
+        tor_oversub: 5.0,
+        agg_oversub: 5.0,
+        switch_buffer: Bytes::from_kb(312),
+        nic_buffer: Bytes::from_kb(64),
+        prop_delay: Dur::from_ns(500),
+    });
+    let vms = topo.num_hosts() * 4;
+    let host = |vm: usize| HostId((vm / 4) as u32);
+    let flows: Vec<AllocFlow> = silo_workload::permutation_x(vms, 1.0, &mut rng)
+        .into_iter()
+        .map(|(s, d)| alloc_flow(&topo, host(s), host(d)))
+        .collect();
+    let name = format!("flowsim/waterfill_fig16a_{}_flows", flows.len());
+    let new_ns = h.bench(&name, || {
+        std::hint::black_box(waterfill(&topo, std::hint::black_box(&flows)));
+    });
+    let name = format!("flowsim/reference_waterfill_fig16a_{}_flows", flows.len());
+    let ref_ns = h.bench(&name, || {
+        std::hint::black_box(reference_waterfill(&topo, std::hint::black_box(&flows)));
+    });
+    (ref_ns, new_ns)
 }
 
 /// The simulator's event pattern in miniature: a rolling window of
@@ -327,7 +367,7 @@ fn main() {
     bench_placement(&mut h);
     bench_pacer(&mut h);
     bench_netcalc(&mut h);
-    bench_waterfill(&mut h);
+    let (ref_fill_ns, fill_ns) = bench_waterfill(&mut h);
     let (wheel_ns, heap_ns) = bench_eventq(&mut h);
     let (tomb_ns, canc_ns) = bench_timer_cancel(&mut h);
     let (plain_ns, co_ns) = bench_void_coalesce(&mut h);
@@ -348,6 +388,11 @@ fn main() {
     //    the simulator's coalescing NIC batchers are predicated on.
     let void_gain = plain_ns / co_ns;
     println!("pacer per-chunk/coalesced void-drain gain: {void_gain:.2}x (gate: >= 2.0)");
+    // 4. The dense-array, lazy-heap water-fill must beat the reference
+    //    rescan by >= 3x on a Fig-16a-shaped input — the win the Locality
+    //    cells of Figs 15-16 are predicated on.
+    let fill_gain = ref_fill_ns / fill_ns;
+    println!("flowsim reference/waterfill gain: {fill_gain:.2}x (gate: >= 3.0)");
     if h.enforce {
         if ratio >= 2.0 {
             eprintln!("REGRESSION: timer wheel {ratio:.2}x slower than reference heap");
@@ -362,6 +407,12 @@ fn main() {
         if void_gain < 2.0 {
             eprintln!(
                 "REGRESSION: void coalescing only {void_gain:.2}x over per-chunk emission (need 2x)"
+            );
+            std::process::exit(1);
+        }
+        if fill_gain < 3.0 {
+            eprintln!(
+                "REGRESSION: water-fill only {fill_gain:.2}x over the reference rescan (need 3x)"
             );
             std::process::exit(1);
         }

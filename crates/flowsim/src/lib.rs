@@ -24,5 +24,5 @@
 mod alloc;
 mod simulation;
 
-pub use alloc::{waterfill, AllocFlow, Allocator};
+pub use alloc::{reference_waterfill, waterfill, AllocFlow, Allocator};
 pub use simulation::{ClassMix, FlowSim, FlowSimConfig, FlowSimReport};

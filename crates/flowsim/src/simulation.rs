@@ -1,6 +1,6 @@
 //! The time-stepped flow-level simulation driving Figs. 15–16.
 
-use crate::alloc::{waterfill, AllocFlow, Allocator};
+use crate::alloc::{hose_rate, Allocator, Waterfill};
 use rand::rngs::StdRng;
 use rand::Rng;
 use silo_base::{exponential, seeded_rng, Dur, Time};
@@ -78,8 +78,9 @@ impl Default for FlowSimConfig {
 }
 
 struct Flow {
-    src_host: HostId,
-    dst_host: HostId,
+    /// Directed ports from the sender's host to the receiver's; empty
+    /// when both VMs share a host.
+    path: Vec<PortId>,
     src_vm: usize,
     dst_vm: usize,
     remaining: f64,
@@ -88,9 +89,32 @@ struct Flow {
 struct Job {
     tenant: TenantId,
     class_a: bool,
+    /// Number of VMs; flow endpoints index `0..vms`.
+    vms: usize,
     flows: Vec<Flow>,
     compute_done_at: Time,
     arrived: Time,
+    /// Duration at full guaranteed rate: `max(compute, transfer)`.
+    nominal: Dur,
+}
+
+/// State the step loop carries from one step to the next.
+#[derive(Default)]
+struct StepState {
+    /// `(job index, flow index)` of every unfinished flow, in job then
+    /// flow order.
+    active: Vec<(usize, usize)>,
+    /// The rate of each `active` flow, bits/sec.
+    rates: Vec<f64>,
+    /// Whether `active` and `rates` still describe the jobs: cleared when
+    /// a job spawns or leaves, or a flow finishes. Rates are a pure
+    /// function of the ordered active flow set, so while it holds they
+    /// are reused as they are.
+    fresh: bool,
+    /// Per-VM active out- and in-degrees of the job being allocated.
+    out_deg: Vec<usize>,
+    in_deg: Vec<usize>,
+    waterfill: Waterfill,
 }
 
 /// Results of a run.
@@ -145,7 +169,6 @@ pub struct FlowSim<P: Placer> {
     report: FlowSimReport,
     stretch_sum: f64,
     stretch_n: usize,
-    nominal: Vec<(TenantId, Dur)>,
     carried_bits: f64,
     occupancy_samples: (f64, usize),
 }
@@ -163,7 +186,6 @@ impl<P: Placer> FlowSim<P> {
             report: FlowSimReport::default(),
             stretch_sum: 0.0,
             stretch_n: 0,
-            nominal: Vec::new(),
             carried_bits: 0.0,
             occupancy_samples: (0.0, 0),
         }
@@ -219,13 +241,13 @@ impl<P: Placer> FlowSim<P> {
             out_deg[s] += 1;
             in_deg[d] += 1;
         }
+        let topo = self.placer.topology();
         let flows: Vec<Flow> = pairs
             .iter()
             .map(|&(s, d)| {
                 let rate = (b / out_deg[s].max(1) as f64).min(b / in_deg[d].max(1) as f64);
                 Flow {
-                    src_host: vm_hosts[s],
-                    dst_host: vm_hosts[d],
+                    path: topo.path_ports(vm_hosts[s], vm_hosts[d]),
                     src_vm: s,
                     dst_vm: d,
                     remaining: rate * t_net / 8.0,
@@ -233,73 +255,95 @@ impl<P: Placer> FlowSim<P> {
             })
             .collect();
         let compute = exponential(&mut self.rng, 1.0 / self.cfg.mean_compute.as_secs_f64());
-        let nominal = Dur::from_secs_f64(compute.max(t_net));
-        self.nominal.push((tenant, nominal));
         self.jobs.push(Job {
             tenant,
             class_a,
+            vms: n,
             flows,
             compute_done_at: self.now + Dur::from_secs_f64(compute),
             arrived: self.now,
+            nominal: Dur::from_secs_f64(compute.max(t_net)),
         });
     }
 
-    fn step_rates(&mut self) -> Vec<(usize, usize, f64)> {
-        // (job idx, flow idx, rate bps) for unfinished flows.
-        let topo = self.placer.topology();
-        let mut metas = Vec::new();
-        let mut alloc_flows = Vec::new();
-        for (ji, job) in self.jobs.iter().enumerate() {
-            // Per-VM active degrees for the hose shares.
-            let mut out_deg = vec![0usize; 256];
-            let mut in_deg = vec![0usize; 256];
-            for f in &job.flows {
-                if f.remaining > 0.0 {
-                    out_deg[f.src_vm.min(255)] += 1;
-                    in_deg[f.dst_vm.min(255)] += 1;
-                }
-            }
-            let g = if job.class_a {
-                self.cfg.mix.class_a
-            } else {
-                self.cfg.mix.class_b
-            };
-            for (fi, f) in job.flows.iter().enumerate() {
-                if f.remaining <= 0.0 {
-                    continue;
-                }
-                metas.push((ji, fi));
-                alloc_flows.push(AllocFlow {
-                    path: topo.path_ports(f.src_host, f.dst_host),
-                    src_hose: g.b,
-                    out_deg: out_deg[f.src_vm.min(255)],
-                    dst_hose: g.b,
-                    in_deg: in_deg[f.dst_vm.min(255)],
-                });
-            }
+    /// Bring `st.rates` up to date with the unfinished flows, reusing the
+    /// last step's rates while the active set is unchanged, and account
+    /// the bits they carry this step.
+    fn step_rates(&mut self, st: &mut StepState) {
+        if !st.fresh {
+            self.allocate(st);
+            st.fresh = true;
         }
-        let rates: Vec<f64> = match self.alloc {
-            Allocator::Guaranteed => alloc_flows.iter().map(|f| f.hose_rate()).collect(),
-            Allocator::FairShare => waterfill(topo, &alloc_flows),
-        };
         // Utilization accounting: bits carried on every traversed link.
         let dt = self.cfg.step.as_secs_f64();
         if self.now.as_secs_f64() >= self.cfg.warmup.as_secs_f64() {
-            for (af, &r) in alloc_flows.iter().zip(&rates) {
+            for (&(ji, fi), &r) in st.active.iter().zip(&st.rates) {
                 if r.is_finite() {
-                    self.carried_bits += r * dt * af.path.len() as f64;
+                    self.carried_bits += r * dt * self.jobs[ji].flows[fi].path.len() as f64;
                 }
             }
         }
-        metas
-            .into_iter()
-            .zip(rates)
-            .map(|((ji, fi), r)| (ji, fi, r))
-            .collect()
+    }
+
+    /// Collect the unfinished flows into `st.active` and allocate their
+    /// rates into `st.rates`.
+    fn allocate(&self, st: &mut StepState) {
+        let StepState {
+            active,
+            rates,
+            out_deg,
+            in_deg,
+            waterfill,
+            ..
+        } = st;
+        active.clear();
+        rates.clear();
+        for (ji, job) in self.jobs.iter().enumerate() {
+            let first = active.len();
+            for (fi, f) in job.flows.iter().enumerate() {
+                if f.remaining > 0.0 {
+                    active.push((ji, fi));
+                }
+            }
+            if self.alloc == Allocator::Guaranteed {
+                // Per-VM active degrees for the hose shares.
+                out_deg.clear();
+                out_deg.resize(job.vms, 0);
+                in_deg.clear();
+                in_deg.resize(job.vms, 0);
+                for &(_, fi) in &active[first..] {
+                    let f = &job.flows[fi];
+                    out_deg[f.src_vm] += 1;
+                    in_deg[f.dst_vm] += 1;
+                }
+                let g = if job.class_a {
+                    self.cfg.mix.class_a
+                } else {
+                    self.cfg.mix.class_b
+                };
+                rates.extend(active[first..].iter().map(|&(_, fi)| {
+                    let f = &job.flows[fi];
+                    hose_rate(g.b, out_deg[f.src_vm], g.b, in_deg[f.dst_vm])
+                }));
+            }
+        }
+        if self.alloc == Allocator::FairShare {
+            let jobs = &self.jobs;
+            waterfill.fill(
+                self.placer.topology(),
+                active.len(),
+                |i| {
+                    let (ji, fi) = active[i];
+                    &jobs[ji].flows[fi].path
+                },
+                rates,
+            );
+        }
     }
 
     /// Run the simulation and report.
     pub fn run(mut self) -> FlowSimReport {
+        let mut st = StepState::default();
         let rate = self.arrival_rate();
         let mut next_arrival = Time::ZERO + Dur::from_secs_f64(exponential(&mut self.rng, rate));
         let horizon = Time::ZERO + self.cfg.duration;
@@ -332,17 +376,21 @@ impl<P: Placer> FlowSim<P> {
                         }
                     }
                     self.spawn_job(&req, class_a, p.tenant, vm_hosts);
+                    st.fresh = false;
                 }
                 next_arrival += Dur::from_secs_f64(exponential(&mut self.rng, rate));
             }
             // 2. Allocate rates and drain flows.
-            let rates = self.step_rates();
-            for (ji, fi, r) in rates {
+            self.step_rates(&mut st);
+            for (&(ji, fi), &r) in st.active.iter().zip(&st.rates) {
                 let f = &mut self.jobs[ji].flows[fi];
                 if r.is_infinite() {
                     f.remaining = 0.0;
                 } else {
                     f.remaining = (f.remaining - r * dt / 8.0).max(0.0);
+                }
+                if f.remaining <= 0.0 {
+                    st.fresh = false;
                 }
             }
             self.now += self.cfg.step;
@@ -353,15 +401,13 @@ impl<P: Placer> FlowSim<P> {
                     && self.jobs[i].flows.iter().all(|f| f.remaining <= 0.0);
                 if done {
                     let job = self.jobs.swap_remove(i);
+                    st.fresh = false;
                     self.placer.remove(job.tenant);
                     if measuring(self.now, &self.cfg) {
                         self.report.completed += 1;
-                        if let Some(pos) = self.nominal.iter().position(|&(t, _)| t == job.tenant) {
-                            let (_, nominal) = self.nominal.swap_remove(pos);
-                            let actual = (self.now - job.arrived).as_secs_f64();
-                            self.stretch_sum += actual / nominal.as_secs_f64().max(1.0);
-                            self.stretch_n += 1;
-                        }
+                        let actual = (self.now - job.arrived).as_secs_f64();
+                        self.stretch_sum += actual / job.nominal.as_secs_f64().max(1.0);
+                        self.stretch_n += 1;
                     }
                 } else {
                     i += 1;
@@ -400,6 +446,7 @@ impl<P: Placer> FlowSim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::AllocFlow;
     use silo_base::{Bytes, Rate};
     use silo_placement::{LocalityPlacer, OktopusPlacer, SiloPlacer};
     use silo_topology::{Topology, TreeParams};
@@ -510,5 +557,64 @@ mod tests {
         assert!(r.completed > 10, "completed {}", r.completed);
         assert!(r.mean_occupancy > 0.1 && r.mean_occupancy < 0.95);
         assert!(r.mean_stretch >= 0.9, "stretch {}", r.mean_stretch);
+    }
+
+    /// `(job, flow, rate)` of every unfinished flow at the current step.
+    fn rates_now<P: Placer>(sim: &mut FlowSim<P>) -> Vec<(usize, usize, f64)> {
+        let mut st = StepState::default();
+        sim.allocate(&mut st);
+        st.active
+            .iter()
+            .zip(&st.rates)
+            .map(|(&(ji, fi), &r)| (ji, fi, r))
+            .collect()
+    }
+
+    #[test]
+    fn hose_rates_use_exact_degrees_past_255_vms() {
+        // One 300-VM class-B tenant (Permutation-1: every VM sends one
+        // flow, in-degrees vary). VMs 255 and above must each keep their
+        // own degree counter.
+        let cfg = FlowSimConfig {
+            max_vms: 300,
+            ..quick_cfg(0.5, 6)
+        };
+        let mut sim = FlowSim::new(LocalityPlacer::new(topo(50)), Allocator::Guaranteed, cfg);
+        let req = TenantRequest::new(300, sim.cfg.mix.class_b);
+        let p = sim
+            .placer
+            .try_place(&req)
+            .expect("300 VMs fit in 800 slots");
+        let vm_hosts: Vec<HostId> = p
+            .hosts
+            .iter()
+            .flat_map(|&(h, k)| std::iter::repeat_n(h, k))
+            .collect();
+        sim.spawn_job(&req, false, p.tenant, vm_hosts);
+        let flows = &sim.jobs[0].flows;
+        let mut out_deg = vec![0usize; 300];
+        let mut in_deg = vec![0usize; 300];
+        for f in flows.iter().filter(|f| f.remaining > 0.0) {
+            out_deg[f.src_vm] += 1;
+            in_deg[f.dst_vm] += 1;
+        }
+        let b = req.guarantee.b;
+        let want: Vec<(usize, usize, f64)> = flows
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.remaining > 0.0)
+            .map(|(fi, f)| {
+                let af = AllocFlow {
+                    path: Vec::new(),
+                    src_hose: b,
+                    out_deg: out_deg[f.src_vm],
+                    dst_hose: b,
+                    in_deg: in_deg[f.dst_vm],
+                };
+                (0, fi, af.hose_rate())
+            })
+            .collect();
+        assert!(want.len() > 255, "{} active flows", want.len());
+        assert_eq!(rates_now(&mut sim), want);
     }
 }
